@@ -7,10 +7,15 @@
 // binary in which selected loads become RCMP instructions, slice bodies are
 // appended (each terminated by RTN), and REC instructions checkpoint
 // non-recomputable leaf inputs into Hist.
+//
+// Building and validating slices does not depend on the Mode, so the pass
+// has two halves: Analyze builds and validates once, and Analysis.Select
+// emits the binary for one Mode. Compile runs both for a single Mode.
 package compiler
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
@@ -211,9 +216,22 @@ func (a *Annotated) SwappedLoadPCs() []int {
 	return pcs
 }
 
-// Compile runs the full pass: build → validate → select → emit.
-// The initial memory is used (via clones) for the validation re-run.
-func Compile(model *energy.Model, prog *isa.Program, prof *profile.Profile, initial *mem.Memory, opts Options) (*Annotated, error) {
+// Analysis is the mode-independent half of a compilation: the candidate
+// slices that survived the empirical validation replay, with every leaf
+// input bound to a live register or a Hist checkpoint, plus the build and
+// validation statistics. Slice building and validation do not depend on
+// Mode, so one Analysis serves both binaries of an evaluation: Select emits
+// each one, and the binaries share the validated slices read-only.
+type Analysis struct {
+	b     *builder
+	valid []*rslice.Slice
+	stats Stats
+}
+
+// Analyze builds a candidate slice for every profiled load and validates
+// them all in one replay of prog on a fork of img, the sealed initial
+// memory. opts.Mode is ignored; Select picks the mode.
+func Analyze(model *energy.Model, prog *isa.Program, prof *profile.Profile, img *mem.Image, opts Options) (*Analysis, error) {
 	if opts.MaxSliceLen <= 0 || opts.MaxHeight <= 0 {
 		return nil, fmt.Errorf("compiler: non-positive slice caps %+v", opts)
 	}
@@ -241,42 +259,38 @@ func Compile(model *energy.Model, prog *isa.Program, prof *profile.Profile, init
 		}
 	}
 
-	// Feeder map: for each candidate load, the static stores whose values
-	// it consumed (inverted from the profile's store->loads relation).
-	feeders := make(map[int]map[int]bool)
-	for st, loads := range prof.StoresConsumedBy {
-		for ld := range loads {
-			m := feeders[ld]
-			if m == nil {
-				m = make(map[int]bool)
-				feeders[ld] = m
-			}
-			m[st] = true
-		}
-	}
 	stats.RejectedDetail = make(map[int]string)
-	valid, err := validateWithProfileStores(model, prog, initial, candidates, feeders, stats.RejectedDetail)
+	valid, err := validate(model, prog, img, candidates, prof.StoresConsumedBy, stats.RejectedDetail)
 	if err != nil {
 		return nil, err
 	}
 	stats.RejectedInvalid = len(candidates) - len(valid)
 	stats.SlicesBuilt = len(valid)
+	return &Analysis{b: b, valid: valid, stats: stats}, nil
+}
 
-	// Selection: final Erc uses post-validation input kinds (live inputs
-	// no longer pay Hist reads).
+// Select emits the annotated binary for mode from the analysed slices:
+// ModeProbabilistic keeps a slice only when its final Erc (post-validation
+// input kinds: live inputs no longer pay Hist reads) beats Eld,
+// ModeOracleAll keeps every valid slice.
+func (a *Analysis) Select(mode Mode) (*Annotated, error) {
+	b := a.b
+	stats := a.stats
+	stats.RejectedDetail = maps.Clone(a.stats.RejectedDetail)
 	var selected []*rslice.Slice
-	for _, sl := range valid {
-		eld := prof.Loads[sl.LoadPC].ExpectedLoadEnergy(model)
+	for _, sl := range a.valid {
+		eld := b.prof.Loads[sl.LoadPC].ExpectedLoadEnergy(b.model)
 		erc := b.sliceCost(sl)
-		if opts.Mode == ModeOracleAll || erc < eld {
+		if mode == ModeOracleAll || erc < eld {
 			selected = append(selected, sl)
 		} else {
 			stats.RejectedCost++
 		}
 	}
-	stats.SlicesSelected = len(selected)
 
-	ann := emit(model, prog, prof, selected, opts, b)
+	opts := b.opts
+	opts.Mode = mode
+	ann := emit(b.model, b.prog, b.prof, selected, opts, b)
 	ann.Stats = stats
 	ann.Stats.SlicesSelected = len(ann.Slices)
 	ann.Stats.DeadStores = len(ann.EliminatedStores)
@@ -287,4 +301,17 @@ func Compile(model *energy.Model, prog *isa.Program, prof *profile.Profile, init
 		return nil, fmt.Errorf("compiler: emitted invalid program: %w", err)
 	}
 	return ann, nil
+}
+
+// Compile runs the full pass for opts.Mode: Analyze on a sealed copy of
+// initial, then Select. Callers that need both binaries should Analyze once
+// and Select twice.
+func Compile(model *energy.Model, prog *isa.Program, prof *profile.Profile, initial *mem.Memory, opts Options) (*Annotated, error) {
+	img := initial.Clone().Seal()
+	defer img.Release()
+	a, err := Analyze(model, prog, prof, img, opts)
+	if err != nil {
+		return nil, err
+	}
+	return a.Select(opts.Mode)
 }

@@ -74,6 +74,7 @@ func TestDebugSliceConstruction(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	b := &builder{model: model, prog: prog, prof: prof, opts: opts}
+	img := initial.Seal()
 	for _, pc := range prof.SortedLoadPCs() {
 		li := prof.Loads[pc]
 		t.Logf("load @%d %s count=%d levels=%v eld=%.2f valueProd=%v",
@@ -84,7 +85,7 @@ func TestDebugSliceConstruction(t *testing.T) {
 			continue
 		}
 		t.Logf("  slice:\n%s  cost=%.2f", sl.String(), b.sliceCost(sl))
-		valid, err := validate(model, prog, initial, []*rslice.Slice{sl})
+		valid, err := validate(model, prog, img, []*rslice.Slice{sl}, prof.StoresConsumedBy, nil)
 		t.Logf("  validated: %d slices", len(valid))
 		if err != nil {
 			t.Logf("  validate err: %v", err)

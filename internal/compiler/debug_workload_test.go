@@ -25,6 +25,7 @@ func TestDebugWorkloadSlices(t *testing.T) {
 			t.Fatalf("profile: %v", err)
 		}
 		b := &builder{model: model, prog: prog, prof: prof, opts: DefaultOptions()}
+		img := initial.Seal()
 		for _, pc := range prof.SortedLoadPCs() {
 			li := prof.Loads[pc]
 			t.Logf("%s: load @%d %s count=%d levels=%v eld=%.2f",
@@ -36,7 +37,7 @@ func TestDebugWorkloadSlices(t *testing.T) {
 			}
 			t.Logf("  slice:\n%s  cost=%.2f", sl.String(), b.sliceCost(sl))
 			diag := map[int]string{}
-			valid, err := validateWithProfileStores(model, prog, initial, []*rslice.Slice{sl}, nil, diag)
+			valid, err := validate(model, prog, img, []*rslice.Slice{sl}, prof.StoresConsumedBy, diag)
 			if err != nil {
 				t.Fatalf("validate: %v", err)
 			}

@@ -38,7 +38,11 @@ func emit(model *energy.Model, prog *isa.Program, prof *profile.Profile, selecte
 	}
 	recsAt := make(map[int][]pendingRec) // original leaf PC -> RECs to insert
 	for id, s := range selected {
-		s.ID = id
+		// Every binary selected from one Analysis shares its slices; number
+		// a shallow copy so the shared slice stays unnumbered.
+		cp := *s
+		cp.ID = id
+		s = &cp
 		eld := prof.Loads[s.LoadPC].ExpectedLoadEnergy(model)
 		erc := b.sliceCost(s)
 		si := &SliceInfo{

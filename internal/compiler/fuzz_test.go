@@ -1,9 +1,8 @@
-package compiler_test
+package compiler
 
 import (
 	"testing"
 
-	"github.com/amnesiac-sim/amnesiac/internal/compiler"
 	"github.com/amnesiac-sim/amnesiac/internal/energy"
 	"github.com/amnesiac-sim/amnesiac/internal/gen"
 	"github.com/amnesiac-sim/amnesiac/internal/isa"
@@ -12,8 +11,9 @@ import (
 
 // FuzzCompilerValidate profiles and compiles a fuzzed generator seed in
 // both modes, asserting the pass never errors on a valid terminating
-// program and that its output is structurally sound: the annotated binary
-// validates, and every emitted RCMP names a resolvable slice.
+// program, that its output is structurally sound — the annotated binary
+// validates, and every emitted RCMP names a resolvable slice — and that
+// both binaries are deep-equal to the reference pass's.
 func FuzzCompilerValidate(f *testing.F) {
 	f.Add(int64(0))
 	f.Add(int64(7))
@@ -28,10 +28,10 @@ func FuzzCompilerValidate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("seed %d: profile: %v", seed, err)
 		}
-		for _, mode := range []compiler.Mode{compiler.ModeProbabilistic, compiler.ModeOracleAll} {
-			opts := compiler.DefaultOptions()
+		for _, mode := range []Mode{ModeProbabilistic, ModeOracleAll} {
+			opts := DefaultOptions()
 			opts.Mode = mode
-			ann, err := compiler.Compile(model, prog, prof, initial, opts)
+			ann, err := Compile(model, prog, prof, initial, opts)
 			if err != nil {
 				t.Fatalf("seed %d: %s compile: %v", seed, mode, err)
 			}
@@ -49,5 +49,6 @@ func FuzzCompilerValidate(f *testing.F) {
 				}
 			}
 		}
+		assertMatchesReference(t, model, prog, prof, initial, DefaultOptions())
 	})
 }

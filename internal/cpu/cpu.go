@@ -83,6 +83,10 @@ type Core struct {
 	// Trace configures the trace-reuse engine for the hook-free path. New
 	// enables it with default tuning; zero it to force pure interpretation.
 	Trace trace.Config
+	// Watch, if non-nil, calls out before the watched instructions of the
+	// hook-free path execute (see exec.Watch); the compiler's validation
+	// replay uses it. It must be built for the program Run executes.
+	Watch *exec.Watch
 	// Engine, after a hook-free Run, is the trace engine the run used (nil
 	// when tracing was disabled): counters for tests and diagnostics.
 	Engine *trace.Engine
@@ -140,6 +144,7 @@ func (c *Core) Run(p *isa.Program) error {
 			Classic:     true,
 			StoreHook:   c.StoreHook,
 			Trace:       c.Trace,
+			Watch:       c.Watch,
 		}
 		err := exec.Run(&env, p)
 		c.PC = env.PC

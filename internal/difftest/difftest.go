@@ -232,11 +232,13 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 			accountDiff(&traced.Acct, &core.Acct))
 	}
 
+	// One sealed copy of the initial memory serves the compiler's
+	// validation replay and the COW parity runs, which fork it.
+	img := initial.Clone().Seal()
+
 	// COW parity: the same classic run on a fork of the sealed image must
 	// be indistinguishable from the clone-based run above.
-	var img *mem.Image
 	if opts.CowForce {
-		img = initial.Clone().Seal()
 		cow := cpu.New(opts.Model, mem.NewDefaultHierarchy(), img.Fork())
 		cow.MaxInstrs = opts.MaxInstrs
 		var cowStores []StoreEvent
@@ -260,13 +262,15 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 	if err != nil {
 		return diverge("profile", "profiling a program the reference executed cleanly failed: %v", err)
 	}
-	ann, err := compiler.Compile(opts.Model, prog, prof, initial, opts.Compiler)
+	an, err := compiler.Analyze(opts.Model, prog, prof, img, opts.Compiler)
 	if err != nil {
 		return diverge("compile", "probabilistic compile failed: %v", err)
 	}
-	oracleOpts := opts.Compiler
-	oracleOpts.Mode = compiler.ModeOracleAll
-	oracleAnn, err := compiler.Compile(opts.Model, prog, prof, initial, oracleOpts)
+	ann, err := an.Select(opts.Compiler.Mode)
+	if err != nil {
+		return diverge("compile", "probabilistic compile failed: %v", err)
+	}
+	oracleAnn, err := an.Select(compiler.ModeOracleAll)
 	if err != nil {
 		return diverge("compile", "oracle compile failed: %v", err)
 	}
@@ -377,14 +381,12 @@ func Check(prog *isa.Program, initial *mem.Memory, opts Options) error {
 				tm.Stat.RecExecuted, m.Stat.RecExecuted, tm.Stat.NOPsSkipped, m.Stat.NOPsSkipped)
 		}
 	}
-	if img != nil {
-		if !img.Mem().Equal(initial) {
-			return diverge("cow base", "forked runs mutated the sealed base image at words %v",
-				img.Mem().Diff(initial, 4))
-		}
-		if refs := img.Refs(); refs != 1 {
-			return diverge("cow base", "image holds %d references after all forks released, want 1", refs)
-		}
+	if !img.Mem().Equal(initial) {
+		return diverge("cow base", "forked runs mutated the sealed base image at words %v",
+			img.Mem().Diff(initial, 4))
+	}
+	if refs := img.Refs(); refs != 1 {
+		return diverge("cow base", "image holds %d references after all forks released, want 1", refs)
 	}
 	return nil
 }

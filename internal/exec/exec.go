@@ -123,6 +123,9 @@ type Env struct {
 
 	// Trace configures the trace-reuse engine.
 	Trace trace.Config
+	// Watch, if non-nil, calls out before the watched instructions
+	// execute (see Watch). It must have been built for the program run.
+	Watch *Watch
 
 	// StartPC is the program counter execution begins at (resume from a
 	// checkpoint; 0 for a fresh run).
@@ -179,6 +182,9 @@ func Run(env *Env, p *isa.Program) error {
 	}
 	env.Stopped = false
 	kinds, ops, cats := d.Kind[:n], d.Op[:n], d.Cat[:n]
+	if w := env.Watch; w != nil && len(w.kinds) != n {
+		return fmt.Errorf("exec: watch built for a %d-instruction program, running %q (%d instrs)", len(w.kinds), p.Name, n)
+	}
 	dsts, src1s, src2s, imms, targets := d.Dst[:n], d.Src1[:n], d.Src2[:n], d.Imm[:n], d.Target[:n]
 	hier, l1, memory := env.Hier, env.Hier.L1, env.Mem
 	acct := env.Acct
@@ -250,7 +256,7 @@ func Run(env *Env, p *isa.Program) error {
 		ct: &ct, l1: l1, hier: hier, memory: memory,
 		regs: regs, byCat: &byCat, nopSkips: env.NopSkips, storeHook: env.StoreHook,
 		code: code, pfx: env.prefix(), max: lim,
-		eng: eng, recHead: -1,
+		eng: eng, recHead: -1, recKinds: kinds,
 		aux: env.Aux, acct: acct, sigger: sigger,
 		fetchE: fetchE, fetchT: fetchT, wbL2: wbL2, wbMem: wbMem, cycle: cycle,
 		charge: charge,
@@ -264,11 +270,22 @@ func Run(env *Env, p *isa.Program) error {
 	// slowReplay means rsh.curTr is pending replay at the current pc, and
 	// slowRecord means a superblock is recording from rsh.recHead. The two
 	// are mutually exclusive, so one register-resident word covers both.
+	// slowWatch stays set for a whole watched run: every instruction then
+	// passes the loop-top check for a watched PC (see Watch), while an
+	// unwatched run keeps the same loop with no extra state.
 	const (
 		slowReplay = 1
 		slowRecord = 2
+		slowWatch  = 4
+		slowTrace  = slowReplay | slowRecord
 	)
 	slow := 0
+	if env.Watch != nil {
+		// Recording treats watched PCs as unrecordable (KindWatch), so a
+		// recording that reaches one tombstones its head.
+		rsh.recKinds = env.Watch.kinds
+		slow = slowWatch
+	}
 
 	var rerr error
 	pc := env.StartPC
@@ -294,7 +311,7 @@ loop:
 			break loop
 		}
 		if slow != 0 {
-			if slow == slowReplay {
+			if slow&slowReplay != 0 {
 				// ---- Trace replay ---------------------------------------
 				// replayTrace runs the superblock as a dense loop body until
 				// a guard side-exits, a replayed access faults, or the
@@ -306,7 +323,7 @@ loop:
 				// function.
 				tr := rsh.curTr
 				rsh.curTr = nil
-				slow = 0
+				slow &^= slowReplay
 				replayFrom := instrs
 				ac := acctState{
 					energyNJ: energyNJ, timeNS: timeNS,
@@ -333,7 +350,7 @@ loop:
 				if uint(pc) < uint(n) && rsh.traces[pc] == nil && rsh.counts[pc] >= rsh.threshold {
 					rsh.counts[pc] = 0
 					rsh.recHead = pc
-					slow = slowRecord
+					slow |= slowRecord
 					if rsh.recPath == nil {
 						rsh.recPath = make([]int32, 0, rsh.maxOps)
 					}
@@ -346,26 +363,34 @@ loop:
 			// superblock; instructions replay cannot reproduce and
 			// over-long paths (e.g. a nested loop spinning inside the
 			// recording) blacklist the head instead.
-			if pc == rsh.recHead && len(rsh.recPath) > 0 {
-				nt := buildTrace(d, rsh.recPath, env.ElimNOP, &ct, rsh.sigger)
-				rsh.traces[pc] = nt
-				eng.RegisterAuxSites(nt)
-				eng.Built++
-				eng.Replays++
-				rsh.recHead = -1
-				rsh.recPath = rsh.recPath[:0]
-				rsh.curTr = nt
-				slow = slowReplay
-				continue loop
+			if slow&slowRecord != 0 {
+				if pc == rsh.recHead && len(rsh.recPath) > 0 {
+					nt := buildTrace(d, rsh.recPath, env.ElimNOP, &ct, rsh.sigger)
+					rsh.traces[pc] = nt
+					eng.RegisterAuxSites(nt)
+					eng.Built++
+					eng.Replays++
+					rsh.recHead = -1
+					rsh.recPath = rsh.recPath[:0]
+					rsh.curTr = nt
+					slow ^= slowRecord | slowReplay
+					continue loop
+				}
+				if k := rsh.recKinds[pc]; !(trace.Recordable(k) || (rsh.sigger != nil && trace.RecordableAux(k))) ||
+					len(rsh.recPath) >= rsh.maxOps {
+					eng.Blacklist(rsh.recHead)
+					rsh.recHead = -1
+					rsh.recPath = rsh.recPath[:0]
+					slow &^= slowRecord
+				} else {
+					rsh.recPath = append(rsh.recPath, int32(pc))
+				}
 			}
-			if k := kinds[pc]; !(trace.Recordable(k) || (rsh.sigger != nil && trace.RecordableAux(k))) ||
-				len(rsh.recPath) >= rsh.maxOps {
-				eng.Blacklist(rsh.recHead)
-				rsh.recHead = -1
-				rsh.recPath = rsh.recPath[:0]
-				slow = 0
-			} else {
-				rsh.recPath = append(rsh.recPath, int32(pc))
+			// ---- Watch ----------------------------------------------
+			// Call out with the pre-execution operands of a watched
+			// instruction, which then executes as usual.
+			if slow&slowWatch != 0 && rsh.recKinds[pc] == isa.KindWatch {
+				env.Watch.fn(pc, [3]uint64{regs[src1s[pc]&31], regs[src2s[pc]&31], regs[dsts[pc]&31]})
 			}
 		}
 		if charge {
@@ -529,7 +554,7 @@ loop:
 			}
 			if taken {
 				t := int(targets[pc])
-				if t <= pc && slow == 0 && rsh.eng != nil {
+				if t <= pc && slow&slowTrace == 0 && rsh.eng != nil {
 					// Taken back-edge: enter a trace or advance the head's
 					// hotness counter. While recording, back-edges are just
 					// path entries — closure happens when execution arrives
@@ -538,14 +563,14 @@ loop:
 						if tr.Ops != nil {
 							rsh.eng.Replays++
 							rsh.curTr = tr
-							slow = slowReplay
+							slow |= slowReplay
 						}
 					} else {
 						rsh.counts[t]++
 						if rsh.counts[t] >= rsh.threshold {
 							rsh.counts[t] = 0
 							rsh.recHead = t
-							slow = slowRecord
+							slow |= slowRecord
 							if rsh.recPath == nil {
 								rsh.recPath = make([]int32, 0, rsh.maxOps)
 							}
@@ -564,19 +589,19 @@ loop:
 			instrs++
 			byCat[isa.CatBranch]++
 			t := int(targets[pc])
-			if t <= pc && slow == 0 && rsh.eng != nil {
+			if t <= pc && slow&slowTrace == 0 && rsh.eng != nil {
 				if tr := rsh.traces[t]; tr != nil {
 					if tr.Ops != nil {
 						rsh.eng.Replays++
 						rsh.curTr = tr
-						slow = slowReplay
+						slow |= slowReplay
 					}
 				} else {
 					rsh.counts[t]++
 					if rsh.counts[t] >= rsh.threshold {
 						rsh.counts[t] = 0
 						rsh.recHead = t
-						slow = slowRecord
+						slow |= slowRecord
 						if rsh.recPath == nil {
 							rsh.recPath = make([]int32, 0, rsh.maxOps)
 						}

@@ -46,11 +46,14 @@ type replayShared struct {
 	// Mutable engine state the interpreter loop deliberately keeps OUT of
 	// its locals (each extra value live across the dispatch switch costs
 	// spills in the hot cases — see Run): curTr is the trace pending replay
-	// when slow == slowReplay, recHead the head being recorded when
-	// slow == slowRecord, recPath its superblock buffer.
+	// while slow has slowReplay set, recHead the head being recorded while
+	// it has slowRecord set, recPath its superblock buffer.
 	curTr   *trace.Trace
 	recHead int
 	recPath []int32
+	// recKinds is the kind table the recorder checks recordability
+	// against: the decoded kinds, or a Watch's copy with its PCs marked.
+	recKinds []isa.Kind
 
 	fetchE, fetchT, wbL2, wbMem, cycle float64
 	charge                             bool

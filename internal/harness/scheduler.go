@@ -9,14 +9,15 @@
 //	            ├─ policy(w, FLC)
 //	            └─ policy(w, LLC)
 //
-// prepare builds the workload, profiles it, compiles both annotated
-// binaries, and runs the classic baseline; the five policy runs then only
-// read those artifacts. Results are written into pre-indexed slots and
-// assembled in workload/policy order after the pool drains, so parallel
-// output is byte-identical to serial output. All shared inputs (the
-// energy.Model, compiler.Annotated binaries, profiles, and the initial
-// memory image) are read-only during runs; every simulation clones the
-// memory image and builds private caches and machine state.
+// prepare builds the workload, profiles it, analyses it once, selects both
+// annotated binaries from that analysis, and runs the classic baseline; the
+// five policy runs then only read those artifacts. Results are written
+// into pre-indexed slots and assembled in workload/policy order after the
+// pool drains, so parallel output is byte-identical to serial output. All
+// shared inputs (the energy.Model, compiler.Annotated binaries, profiles,
+// and the initial memory image) are read-only during runs; every
+// simulation clones the memory image and builds private caches and machine
+// state.
 package harness
 
 import (
@@ -186,27 +187,30 @@ func (c *ArtifactCache) Len() int {
 }
 
 // buildArtifacts runs the prepare stage for one workload: build, profile,
-// compile (probabilistic + oracle), and the classic baseline run.
+// compile (one analysis, then the probabilistic and oracle selections), and
+// the classic baseline run.
 func buildArtifacts(cfg Config, w *workloads.Workload) (*Artifacts, error) {
 	prog, initial := w.Build(cfg.Scale)
 	prof, err := profile.Collect(cfg.Model, prog, initial)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
 	}
-	ann, err := compiler.Compile(cfg.Model, prog, prof, initial, cfg.Opts)
+	// Seal the prepared image once; the compiler's validation replay and
+	// the classic baseline — like every policy run after them — execute on
+	// copy-on-write forks instead of deep clones of the initial memory.
+	img := initial.Seal()
+	an, err := compiler.Analyze(cfg.Model, prog, prof, img, cfg.Opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
 	}
-	oracleOpts := cfg.Opts
-	oracleOpts.Mode = compiler.ModeOracleAll
-	oracleAnn, err := compiler.Compile(cfg.Model, prog, prof, initial, oracleOpts)
+	ann, err := an.Select(cfg.Opts.Mode)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", w.Name, err)
+	}
+	oracleAnn, err := an.Select(compiler.ModeOracleAll)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s (oracle): %w", w.Name, err)
 	}
-	// Seal the prepared image once; the classic baseline — like every
-	// policy run after it — executes on a copy-on-write fork instead of a
-	// second deep clone of the initial memory.
-	img := initial.Seal()
 	cm := img.Fork()
 	classic, err := cpu.RunProgramLimit(cfg.Model, prog, cm, cfg.MaxInstrs)
 	cm.Release()

@@ -7,7 +7,9 @@ type Kind uint8
 
 // Dispatch kinds. KindBad marks opcodes the decoder does not recognise;
 // program validation rejects them before execution, so hitting one at
-// dispatch time is an internal error.
+// dispatch time is an internal error. KindWatch is never decoded: an
+// executor overlays it on a private copy of Kind to call out before the
+// instruction at that PC executes (see exec.Watch).
 const (
 	KindNop     Kind = iota
 	KindCompute      // every Recomputable opcode (ALU, FP, moves, immediates)
@@ -19,6 +21,7 @@ const (
 	KindRcmp
 	KindRtn
 	KindRec
+	KindWatch
 	KindBad
 )
 
